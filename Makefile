@@ -7,7 +7,7 @@ ifdef RTCAD_JOBS
 export RTCAD_JOBS
 endif
 
-.PHONY: all build test fuzz fuzz-edits bench bench-clean verify golden golden-update smoke-symbolic smoke-symbolic-synth smoke-incremental smoke-serve smoke-serve-concurrent smoke-rappid test-serve clean
+.PHONY: all build loc test fuzz fuzz-edits bench bench-clean verify golden golden-update smoke-symbolic smoke-symbolic-synth smoke-incremental smoke-serve smoke-serve-concurrent smoke-rappid test-serve clean
 
 all: build
 
@@ -16,6 +16,11 @@ build:
 
 test:
 	dune runtest
+
+# Size of the tool itself: the .ml/.mli line total of lib, bin and bench
+# (tests, examples and perfbench excluded).
+loc:
+	@find lib bin bench \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l
 
 fuzz:
 	dune exec bin/rtsyn.exe -- fuzz --cases 200 --seed 1 --quiet

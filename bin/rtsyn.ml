@@ -695,7 +695,7 @@ let run_cache action dir budget =
   else
     match action with
     | `Stats ->
-      let st = Store.disk_stats ~dir in
+      let st = Store.disk_stats Store.flow ~dir in
       Format.printf "entries: %d@." st.Store.d_entries;
       Format.printf "bytes: %d@." st.Store.d_bytes;
       Format.printf "corrupt removed: %d@." st.Store.d_corrupt;
@@ -708,7 +708,7 @@ let run_cache action dir budget =
         (fun e ->
           Format.printf "%-10s %s %d@." e.Store.de_stage e.Store.de_key
             e.Store.de_bytes)
-        (Store.ls ~dir);
+        (Store.ls Store.flow ~dir);
       0
     | `Gc -> (
       match budget with
@@ -716,7 +716,7 @@ let run_cache action dir budget =
         prerr_endline "rtsyn: cache gc requires --budget BYTES";
         1
       | Some budget ->
-        let removed, remaining = Store.gc ~dir ~budget in
+        let removed, remaining = Store.gc Store.flow ~dir ~budget in
         Format.printf "removed %d entries, %d bytes remain@." removed remaining;
         0)
 

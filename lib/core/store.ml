@@ -1,31 +1,53 @@
-(* Content-addressed artifact store for the staged synthesis flow.
+(* Content-addressed two-tier store: the daemon's result cache and the
+   staged flow's artifact store are this one module, told apart by a
+   fixed namespace.
 
-   Two tiers, mirroring the serve result cache (lib/serve/cache.ml): a
-   sharded in-memory table with cost-based LRU eviction (an entry's cost
-   is its payload bytes plus the compute milliseconds it saves), and an
-   optional on-disk tier of checksummed entries.  Differences from the
-   serve cache, driven by this store's role as a persistent build cache
-   rather than a response cache:
+   - Keys are hex md5 digests over length-prefixed parts ([key]).
+   - The memory tier is split into shards by the key's hash prefix.
+     Each shard is an LRU bounded by retained cost: an entry costs its
+     payload bytes plus the compute milliseconds it saves on a hit.  An
+     optional count bound (the daemon's --cache-capacity) applies too.
+   - The optional disk tier holds one checksummed file per entry,
+     written through a temp file and an atomic rename, so a reader
+     racing a writer (or two writers racing each other) sees either the
+     complete old entry or the complete new one, never a torn write.
+   - Any header or checksum mismatch (flipped byte, truncation, foreign
+     file, an older format) counts as corrupt, removes the entry and
+     reports a miss: corruption can only cost a recompute, never a wrong
+     result.
 
-   - every disk entry records the *stage* that produced it (encode,
-     reach, covers, emit, …) so `rtsyn cache ls` can attribute bytes;
-   - disk writes go through a temp file and an atomic rename, so a
-     reader racing a writer (or two writers racing each other) sees
-     either the complete old entry or the complete new one, never a
-     torn write;
-   - the disk tier is first-class: [ls]/[gc]/[disk_stats] operate on a
-     directory without constructing a live store, which is what the
-     `rtsyn cache` subcommand drives.
-
-   Corruption handling is identical to the serve cache: any header or
-   checksum mismatch (flipped byte, truncation, foreign file) counts as
-   corrupt, removes the entry and reports a miss — the flow recomputes
-   and overwrites. *)
+   Access is unsynchronized: the daemon serializes it in its event loop
+   and the flow owns its store. *)
 
 module Obs = Rtcad_obs.Obs
 
-let magic = "rtcad-flow-cache/1"
-let file_ext = ".art"
+type namespace = {
+  magic : string;  (** first word of every disk entry *)
+  ext : string;  (** disk entry file extension *)
+  prefix : string;  (** obs metric prefix *)
+  default_shards : int;
+  default_budget : int;
+}
+
+let flow =
+  {
+    magic = "rtcad-flow-cache/1";
+    ext = ".art";
+    prefix = "flow.cache";
+    default_shards = 4;
+    default_budget = 64 * 1024 * 1024;
+  }
+
+let serve =
+  {
+    magic = "rtcad-serve-cache/2";
+    ext = ".json";
+    prefix = "serve.cache";
+    default_shards = 8;
+    default_budget = 32 * 1024 * 1024;
+  }
+
+let magic = flow.magic
 
 type entry = { payload : string; cost_ms : float; mutable tick : int }
 
@@ -33,14 +55,17 @@ let entry_cost e = String.length e.payload + int_of_float (Float.ceil e.cost_ms)
 
 type shard = {
   table : (string, entry) Hashtbl.t;
-  mutable s_cost : int;
+  mutable s_cost : int;  (** sum of [entry_cost] over the table *)
   mutable s_bytes : int;
+  mutable s_ms : float;
   mutable s_evictions : int;
 }
 
 type t = {
+  ns : namespace;
   shards : shard array;
   shard_budget : int;
+  shard_capacity : int option;
   dir : string option;
   mutable clock : int;
   mutable hits : int;
@@ -50,8 +75,15 @@ type t = {
   mutable corrupt : int;
 }
 
+type shard_stats = {
+  sh_entries : int;
+  sh_bytes : int;
+  sh_ms : float;
+  sh_evictions : int;
+}
+
 type stats = {
-  hits : int;  (** memory + disk *)
+  hits : int;
   disk_hits : int;
   misses : int;
   stores : int;
@@ -59,6 +91,8 @@ type stats = {
   corrupt : int;
   entries : int;
   retained_bytes : int;
+  retained_ms : float;
+  shards : shard_stats list;
 }
 
 let rec mkdir_p path =
@@ -71,17 +105,23 @@ let rec mkdir_p path =
       raise (Sys_error (Printf.sprintf "%s: %s" path (Unix.error_message e)))
   end
 
-let default_budget = 64 * 1024 * 1024
-
-let create ?(shards = 4) ?(budget = default_budget) ?dir () =
-  if shards < 1 then invalid_arg "Store.create: shards must be positive";
-  if budget < 1 then invalid_arg "Store.create: budget must be positive";
+let make ns ?(shards = ns.default_shards) ?(budget = ns.default_budget) ?capacity
+    ?dir () =
+  if shards < 1 then invalid_arg "Store.make: shards must be positive";
+  if budget < 1 then invalid_arg "Store.make: budget must be positive";
+  (match capacity with
+  | Some c when c < 1 -> invalid_arg "Store.make: capacity must be positive"
+  | _ -> ());
   Option.iter mkdir_p dir;
   {
+    ns;
     shards =
       Array.init shards (fun _ ->
-          { table = Hashtbl.create 16; s_cost = 0; s_bytes = 0; s_evictions = 0 });
+          { table = Hashtbl.create 16; s_cost = 0; s_bytes = 0; s_ms = 0.0; s_evictions = 0 });
+    (* Budgets divide evenly: with one shard the whole budget applies,
+       which is what the deterministic eviction tests pin down. *)
     shard_budget = max 1 (budget / shards);
+    shard_capacity = Option.map (fun c -> max 1 ((c + shards - 1) / shards)) capacity;
     dir;
     clock = 0;
     hits = 0;
@@ -91,25 +131,25 @@ let create ?(shards = 4) ?(budget = default_budget) ?dir () =
     corrupt = 0;
   }
 
-let dir (t : t) = t.dir
+let create ?shards ?budget ?dir () = make flow ?shards ?budget ?dir ()
 
+let count (t : t) name = if Obs.enabled () then Obs.incr (t.ns.prefix ^ "." ^ name)
+
+(* Keys are md5 hex digests ({!key}); the first two hex characters are a
+   uniform hash prefix.  Arbitrary keys (unit tests) fall back to a
+   deterministic structural hash. *)
 let shard_index (t : t) k =
-  let hex c =
-    match c with
-    | '0' .. '9' -> Some (Char.code c - Char.code '0')
-    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-    | _ -> None
-  in
   let n = Array.length t.shards in
   if n = 1 then 0
   else
-    match if String.length k >= 2 then (hex k.[0], hex k.[1]) else (None, None) with
-    | Some a, Some b -> ((a * 16) + b) mod n
-    | _ -> Hashtbl.hash k mod n
+    match if String.length k >= 2 then int_of_string_opt ("0x" ^ String.sub k 0 2) else None with
+    | Some v -> v mod n
+    | None -> Hashtbl.hash k mod n
 
 let shard_of (t : t) k = t.shards.(shard_index t k)
 
-(* Length-prefixing makes the digest injective over the part list. *)
+(* Length-prefixing makes the digest injective over the part list:
+   ["ab"; "c"] and ["a"; "bc"] hash differently. *)
 let key parts =
   let buf = Buffer.create 256 in
   List.iter
@@ -120,16 +160,42 @@ let key parts =
     parts;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let touch t e =
+let touch (t : t) e =
   t.clock <- t.clock + 1;
   e.tick <- t.clock
+
+(* Gauges are only rebuilt when recording is on; the daemon's stats op
+   reads the same numbers synchronously via {!stats}. *)
+let publish_gauges (t : t) =
+  if Obs.enabled () then begin
+    let gauge name v = Obs.set_gauge (t.ns.prefix ^ "." ^ name) v in
+    let entries = ref 0 and bytes = ref 0 and ms = ref 0.0 in
+    Array.iteri
+      (fun i s ->
+        entries := !entries + Hashtbl.length s.table;
+        bytes := !bytes + s.s_bytes;
+        ms := !ms +. s.s_ms;
+        let g name v = gauge (Printf.sprintf "shard%d.%s" i name) v in
+        g "entries" (float_of_int (Hashtbl.length s.table));
+        g "bytes" (float_of_int s.s_bytes);
+        g "ms" s.s_ms;
+        g "evictions" (float_of_int s.s_evictions))
+      t.shards;
+    gauge "entries" (float_of_int !entries);
+    gauge "retained_bytes" (float_of_int !bytes);
+    gauge "retained_ms" !ms
+  end
 
 let remove_entry sh k e =
   Hashtbl.remove sh.table k;
   sh.s_cost <- sh.s_cost - entry_cost e;
-  sh.s_bytes <- sh.s_bytes - String.length e.payload
+  sh.s_bytes <- sh.s_bytes - String.length e.payload;
+  sh.s_ms <- sh.s_ms -. e.cost_ms
 
-let evict_lru sh =
+(* The LRU scan is O(entries); shards keep each table small and the
+   determinism of "evict the minimum tick" is worth more here than a
+   doubly-linked list. *)
+let evict_lru t sh =
   let victim = ref None in
   Hashtbl.iter
     (fun k e ->
@@ -141,7 +207,7 @@ let evict_lru sh =
   | Some (k, e) ->
     remove_entry sh k e;
     sh.s_evictions <- sh.s_evictions + 1;
-    Obs.incr "flow.cache.evict";
+    count t "evict";
     true
   | None -> false
 
@@ -150,21 +216,29 @@ let insert_mem ?(cost_ms = 0.0) t k payload =
   match Hashtbl.find_opt sh.table k with
   | Some e -> touch t e
   | None ->
+    (* Make room by count first (pre-insertion, the classic LRU bound),
+       then admit and shave the cost budget down — never evicting the
+       entry just inserted, so a single oversized result still caches
+       (and is the next LRU victim). *)
+    (match t.shard_capacity with
+    | Some cap ->
+      while Hashtbl.length sh.table >= cap && evict_lru t sh do
+        ()
+      done
+    | None -> ());
     let e = { payload; cost_ms; tick = 0 } in
     touch t e;
     Hashtbl.replace sh.table k e;
     sh.s_cost <- sh.s_cost + entry_cost e;
     sh.s_bytes <- sh.s_bytes + String.length payload;
-    (* Shave down to budget, never evicting the entry just inserted. *)
-    while
-      sh.s_cost > t.shard_budget && Hashtbl.length sh.table > 1 && evict_lru sh
-    do
+    sh.s_ms <- sh.s_ms +. cost_ms;
+    while sh.s_cost > t.shard_budget && Hashtbl.length sh.table > 1 && evict_lru t sh do
       ()
     done
 
 (* --- disk tier --------------------------------------------------------- *)
 
-let disk_path dir k = Filename.concat dir (k ^ file_ext)
+let disk_path ns dir k = Filename.concat dir (k ^ ns.ext)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -176,44 +250,41 @@ let read_file path =
    payload].  The stage name carries no trust — only the checksum does —
    it exists so [ls] can attribute the entry without decoding the
    payload. *)
-let encode_entry ~stage payload =
+let encode_entry ns ~stage payload =
   if String.contains stage ' ' || String.contains stage '\n' then
     invalid_arg "Store: stage names must not contain spaces";
-  Printf.sprintf "%s %s %s\n%s" magic stage
-    (Digest.to_hex (Digest.string payload))
-    payload
+  Printf.sprintf "%s %s %s\n%s" ns.magic stage (Digest.to_hex (Digest.string payload)) payload
 
-let decode_entry data =
+let decode_entry ns data =
   match String.index_opt data '\n' with
   | None -> None
   | Some nl -> (
     let header = String.sub data 0 nl in
     let payload = String.sub data (nl + 1) (String.length data - nl - 1) in
     match String.split_on_char ' ' header with
-    | [ m; stage; sum ] when m = magic ->
-      if String.equal sum (Digest.to_hex (Digest.string payload)) then
-        Some (stage, payload)
-      else None
+    | [ m; stage; sum ]
+      when m = ns.magic && String.equal sum (Digest.to_hex (Digest.string payload)) ->
+      Some (stage, payload)
     | _ -> None)
 
 let disk_find t k =
   match t.dir with
   | None -> None
   | Some dir -> (
-    let path = disk_path dir k in
+    let path = disk_path t.ns dir k in
     match read_file path with
     | exception Sys_error _ -> None
     | data -> (
-      match decode_entry data with
+      match decode_entry t.ns data with
       | Some (_stage, payload) -> Some payload
       | None ->
         t.corrupt <- t.corrupt + 1;
-        Obs.incr "flow.cache.corrupt";
+        count t "corrupt";
         (try Sys.remove path with Sys_error _ -> ());
         None))
 
 (* Unique-then-rename keeps concurrent writers safe: each writer builds
-   its own temp file (pid + a per-store counter disambiguate) and the
+   its own temp file (pid + a process-wide counter disambiguate) and the
    rename installs it atomically, so the entry file is always either
    absent or a complete checksummed entry.  Last writer wins; both wrote
    the same content-addressed payload anyway. *)
@@ -222,15 +293,13 @@ let tmp_counter = Atomic.make 0
 let disk_store t ~stage k payload =
   match t.dir with
   | None -> ()
-  | Some dir ->
-    let path = disk_path dir k in
+  | Some dir -> (
+    let path = disk_path t.ns dir k in
     let tmp =
-      Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-        (Atomic.fetch_and_add tmp_counter 1)
+      Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) (Atomic.fetch_and_add tmp_counter 1)
     in
-    let data = encode_entry ~stage payload in
     (* Best-effort: a full disk loses persistence for this entry only. *)
-    (match Obs.write_file ~path:tmp data with
+    match Obs.write_file ~path:tmp (encode_entry t.ns ~stage payload) with
     | Ok () -> ( try Sys.rename tmp path with Sys_error _ -> ())
     | Error _ -> ( try Sys.remove tmp with Sys_error _ -> ()))
 
@@ -239,45 +308,56 @@ let find t k =
   | Some e ->
     touch t e;
     t.hits <- t.hits + 1;
-    Obs.incr "flow.cache.hit";
+    count t "hit";
     Some e.payload
   | None -> (
     match disk_find t k with
     | Some payload ->
+      (* The disk header records no compute time, so a promoted entry's
+         retained cost is its bytes alone. *)
       insert_mem t k payload;
       t.hits <- t.hits + 1;
       t.disk_hits <- t.disk_hits + 1;
-      Obs.incr "flow.cache.hit";
-      Obs.incr "flow.cache.disk_hit";
+      count t "hit";
+      count t "disk_hit";
+      publish_gauges t;
       Some payload
     | None ->
       t.misses <- t.misses + 1;
-      Obs.incr "flow.cache.miss";
+      count t "miss";
       None)
 
 let store ?cost_ms ~stage t k payload =
   insert_mem ?cost_ms t k payload;
   disk_store t ~stage k payload;
   t.stores <- t.stores + 1;
-  Obs.incr "flow.cache.store"
+  count t "store";
+  publish_gauges t
 
 let stats (t : t) =
-  let entries = ref 0 and bytes = ref 0 and evictions = ref 0 in
-  Array.iter
-    (fun s ->
-      entries := !entries + Hashtbl.length s.table;
-      bytes := !bytes + s.s_bytes;
-      evictions := !evictions + s.s_evictions)
-    t.shards;
+  let shards =
+    Array.to_list
+      (Array.map
+         (fun s ->
+           {
+             sh_entries = Hashtbl.length s.table;
+             sh_bytes = s.s_bytes;
+             sh_ms = s.s_ms;
+             sh_evictions = s.s_evictions;
+           })
+         t.shards)
+  in
   {
     hits = t.hits;
     disk_hits = t.disk_hits;
     misses = t.misses;
     stores = t.stores;
-    evictions = !evictions;
+    evictions = List.fold_left (fun a s -> a + s.sh_evictions) 0 shards;
     corrupt = t.corrupt;
-    entries = !entries;
-    retained_bytes = !bytes;
+    entries = List.fold_left (fun a s -> a + s.sh_entries) 0 shards;
+    retained_bytes = List.fold_left (fun a s -> a + s.sh_bytes) 0 shards;
+    retained_ms = List.fold_left (fun a s -> a +. s.sh_ms) 0.0 shards;
+    shards;
   }
 
 (* --- directory operations (the `rtsyn cache` subcommand) --------------- *)
@@ -296,36 +376,42 @@ type disk_stats = {
   d_stages : (string * int) list;  (** per-stage entry counts, sorted *)
 }
 
-(* Scan a store directory: decode every [.art] entry, removing the ones
-   that fail their checksum (the same discard-and-recompute contract the
-   live store applies on [find]).  Stray temp files older than an hour
-   are leftovers of a crashed writer and are swept too. *)
-let scan dir =
-  let names =
-    match Sys.readdir dir with
-    | exception Sys_error _ -> [||]
-    | ns -> ns
-  in
+(* "<key><ext>.tmp.<pid>.<n>": a temp file a writer has not renamed
+   (yet).  Keys are hex digests, so the first dot starts the suffix. *)
+let is_temp ns name =
+  let marker = ns.ext ^ ".tmp." in
+  match String.index_opt name '.' with
+  | Some i ->
+    String.length name >= i + String.length marker
+    && String.sub name i (String.length marker) = marker
+  | None -> false
+
+(* Scan a store directory: decode every entry, removing the ones that
+   fail their checksum (the same discard-and-recompute contract the live
+   store applies on [find]).  Temp files older than an hour are
+   leftovers of a crashed writer and are swept too; fresh ones may
+   belong to a live writer. *)
+let scan ns dir =
+  let names = try Sys.readdir dir with Sys_error _ -> [||] in
   Array.sort compare names;
   let entries = ref [] and corrupt = ref 0 in
   let now = Unix.gettimeofday () in
   Array.iter
     (fun name ->
       let path = Filename.concat dir name in
-      if Filename.check_suffix name file_ext then begin
+      if Filename.check_suffix name ns.ext then begin
         match read_file path with
         | exception Sys_error _ -> ()
         | data -> (
-          match decode_entry data with
+          match decode_entry ns data with
           | Some (stage, _) ->
-            let st = try Some (Unix.stat path) with Unix.Unix_error _ -> None in
+            let mtime = try (Unix.stat path).Unix.st_mtime with Unix.Unix_error _ -> now in
             entries :=
               {
-                de_key = Filename.chop_suffix name file_ext;
+                de_key = Filename.chop_suffix name ns.ext;
                 de_stage = stage;
                 de_bytes = String.length data;
-                de_mtime =
-                  (match st with Some s -> s.Unix.st_mtime | None -> now);
+                de_mtime = mtime;
               }
               :: !entries
           | None ->
@@ -333,16 +419,7 @@ let scan dir =
             (try Sys.remove path with Sys_error _ -> ()))
       end
       else if
-        (* "<key>.art.tmp.<pid>.<n>": a temp file a crashed writer never
-           renamed.  Fresh ones may belong to a live writer; stale ones
-           are garbage. *)
-        (let marker = file_ext ^ ".tmp." in
-         let rec has_sub i =
-           i + String.length marker <= String.length name
-           && (String.sub name i (String.length marker) = marker
-              || has_sub (i + 1))
-         in
-         has_sub 0)
+        is_temp ns name
         &&
         match Unix.stat path with
         | exception Unix.Unix_error _ -> false
@@ -351,17 +428,15 @@ let scan dir =
     names;
   (List.rev !entries, !corrupt)
 
-let ls ~dir =
-  let entries, _ = scan dir in
+let ls ns ~dir =
+  let entries, _ = scan ns dir in
   List.sort
     (fun a b ->
-      match compare a.de_stage b.de_stage with
-      | 0 -> compare a.de_key b.de_key
-      | c -> c)
+      match compare a.de_stage b.de_stage with 0 -> compare a.de_key b.de_key | c -> c)
     entries
 
-let disk_stats ~dir =
-  let entries, corrupt = scan dir in
+let disk_stats ns ~dir =
+  let entries, corrupt = scan ns dir in
   let stages = Hashtbl.create 8 in
   List.iter
     (fun e ->
@@ -372,30 +447,27 @@ let disk_stats ~dir =
     d_entries = List.length entries;
     d_bytes = List.fold_left (fun a e -> a + e.de_bytes) 0 entries;
     d_corrupt = corrupt;
-    d_stages =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) stages []);
+    d_stages = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) stages []);
   }
 
 (* Oldest-first eviction down to the byte budget.  Ties on mtime break
    by key so the sweep is deterministic on coarse-granularity
    filesystems. *)
-let gc ~dir ~budget =
+let gc ns ~dir ~budget =
   if budget < 0 then invalid_arg "Store.gc: budget must be non-negative";
-  let entries, _ = scan dir in
+  let entries, _ = scan ns dir in
   let total = List.fold_left (fun a e -> a + e.de_bytes) 0 entries in
   let ordered =
     List.sort
       (fun a b ->
-        match compare a.de_mtime b.de_mtime with
-        | 0 -> compare a.de_key b.de_key
-        | c -> c)
+        match compare a.de_mtime b.de_mtime with 0 -> compare a.de_key b.de_key | c -> c)
       entries
   in
   let removed = ref 0 and remaining = ref total in
   List.iter
     (fun e ->
       if !remaining > budget then begin
-        match Sys.remove (disk_path dir e.de_key) with
+        match Sys.remove (disk_path ns dir e.de_key) with
         | () ->
           incr removed;
           remaining := !remaining - e.de_bytes

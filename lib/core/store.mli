@@ -1,53 +1,99 @@
-(** Content-addressed artifact store for the staged synthesis flow.
+(** Content-addressed two-tier store.
 
-    Persists the artifacts of {!Flow}'s keyed stages (state-signal
-    insertions, reachability counts, per-signal covers, netlists) across
-    processes.  Two tiers, following the serve result cache design: a
-    sharded in-memory table with cost-based LRU eviction, and an
-    optional on-disk tier of checksummed entries written via an atomic
-    temp-file rename (safe against concurrent writers).  A disk entry
+    One implementation serves two callers, each through a fixed
+    {!namespace}: the daemon's response cache ({!serve}, bound as
+    [Rtcad_serve.Cache]) and the staged flow's artifact store ({!flow},
+    {!create}).
+
+    {2 Memory tier}
+
+    The in-memory tier is split into [shards] independent LRU shards
+    keyed by the hash prefix of the key (md5 keys distribute uniformly),
+    so eviction scans stay short and per-shard retained costs are
+    observable.  Eviction is by {e retained cost}: an entry costs
+    [bytes(payload) + ceil(compute_ms)], and each shard holds an even
+    split of [budget].  Inserting beyond the budget evicts
+    least-recently-used entries until the shard fits again (the entry
+    just inserted is never its own victim, so a single oversized entry
+    still caches).  An optional [capacity] also bounds the entry count.
+
+    {2 Disk tier}
+
+    With [dir], every store also writes [dir/<key><ext>] as
+    [<magic> <stage> <md5(payload)>\n<payload>], through a temp file and
+    an atomic rename (safe against concurrent writers), and a memory miss
+    falls through to it, re-promoting into memory at byte cost.  An entry
     whose header or checksum does not verify — a flipped byte, a
-    truncated write, a foreign file — is counted, removed and reported
-    as a miss, so corruption can only ever cost a recompute, never a
-    wrong result. *)
+    truncated write, a foreign file, an older format — is counted,
+    removed and reported as a miss, so corruption can only ever cost a
+    recompute, never a wrong result.
+
+    Counters are mirrored into {!Rtcad_obs.Obs} (when enabled) under the
+    namespace prefix ([serve.cache.*] or [flow.cache.*]):
+    [hit]/[disk_hit]/[miss]/[store]/[evict]/[corrupt], plus gauges
+    [entries], [retained_bytes], [retained_ms] and per-shard
+    [shard<i>.{entries,bytes,ms,evictions}]. *)
+
+type namespace
+(** The fixed per-caller constants: disk magic, file extension, obs
+    prefix, default shards and budget. *)
+
+val flow : namespace
+(** ["rtcad-flow-cache/1"], [.art] files, [flow.cache.*]; 4 shards,
+    64 MiB. *)
+
+val serve : namespace
+(** ["rtcad-serve-cache/2"], [.json] files, [serve.cache.*]; 8 shards,
+    32 MiB. *)
+
+val magic : string
+(** Disk magic of the {!flow} namespace, ["rtcad-flow-cache/1"]; it is
+    also a part of every flow stage key. *)
 
 type t
 
-val magic : string
-(** Format tag of every disk entry: ["rtcad-flow-cache/1"]. *)
+val make :
+  namespace -> ?shards:int -> ?budget:int -> ?capacity:int -> ?dir:string -> unit -> t
+(** A store in the given namespace ([shards] and [budget] default to the
+    namespace's; [capacity] is unset by default — cost is the bound).
+    The directory is created if missing.  Raises [Sys_error] if it cannot
+    be, [Invalid_argument] on non-positive [shards], [budget] or
+    [capacity]. *)
 
 val create : ?shards:int -> ?budget:int -> ?dir:string -> unit -> t
-(** [create ()] is a memory-only store (defaults: 4 shards, 64 MiB
-    in-memory budget).  With [dir] every store also writes a checksummed
-    entry under that directory (created if missing) and misses fall
-    through to it.  The budget bounds in-memory retained cost (payload
-    bytes + compute ms per entry), split evenly across shards; the disk
-    tier is unbounded here — [gc] trims it. *)
-
-val dir : t -> string option
+(** [make flow]. *)
 
 val key : string list -> string
 (** Content key of a part list: hex md5 over the length-prefixed
-    concatenation (injective over the list structure). *)
+    concatenation (order-sensitive, injective over the list structure). *)
 
 val find : t -> string -> string option
 (** Memory first, then disk (a disk hit is promoted into memory). *)
 
 val store : ?cost_ms:float -> stage:string -> t -> string -> string -> unit
-(** [store ~stage t key payload] inserts into memory (evicting LRU
-    entries over budget) and best-effort persists to disk.  [stage]
-    (no spaces) is recorded in the disk header for attribution;
-    [cost_ms] weights the in-memory eviction cost. *)
+(** [store ~stage t key payload] inserts (or refreshes) the entry in
+    memory, evicting over budget, and best-effort persists it to disk.
+    [stage] (no spaces) is recorded in the disk header for attribution;
+    [cost_ms] (default 0) weights the in-memory eviction cost. *)
+
+type shard_stats = {
+  sh_entries : int;
+  sh_bytes : int;  (** retained payload bytes *)
+  sh_ms : float;  (** retained recorded compute milliseconds *)
+  sh_evictions : int;
+}
 
 type stats = {
   hits : int;  (** memory + disk *)
   disk_hits : int;
   misses : int;
   stores : int;
-  evictions : int;
-  corrupt : int;
-  entries : int;  (** in-memory *)
-  retained_bytes : int;  (** in-memory *)
+  evictions : int;  (** memory evictions, all shards (disk entries persist) *)
+  corrupt : int;  (** disk entries rejected by checksum *)
+  entries : int;  (** in-memory, all shards *)
+  retained_bytes : int;
+  retained_ms : float;
+  shards : shard_stats list;  (** per-shard breakdown, in shard order *)
 }
 
 val stats : t -> stats
@@ -56,7 +102,8 @@ val stats : t -> stats
 
     The [rtsyn cache] subcommand works on a store directory without a
     live store.  All three scan the directory, removing entries that
-    fail their checksum (and temp files abandoned by crashed writers). *)
+    fail their checksum and temp files abandoned by crashed writers
+    (older than an hour). *)
 
 type disk_entry = {
   de_key : string;
@@ -72,11 +119,11 @@ type disk_stats = {
   d_stages : (string * int) list;  (** per-stage entry counts, sorted *)
 }
 
-val ls : dir:string -> disk_entry list
+val ls : namespace -> dir:string -> disk_entry list
 (** Entries sorted by (stage, key). *)
 
-val disk_stats : dir:string -> disk_stats
+val disk_stats : namespace -> dir:string -> disk_stats
 
-val gc : dir:string -> budget:int -> int * int
+val gc : namespace -> dir:string -> budget:int -> int * int
 (** Remove oldest entries (mtime, then key) until total bytes fit the
     budget.  Returns (entries removed, bytes remaining). *)

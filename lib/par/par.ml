@@ -25,8 +25,8 @@ let jobs () =
 (* True while the current domain is executing inside a parallel region:
    set permanently on worker domains and for the duration of a region on
    the initiating domain.  Any [Par] entry point that observes it runs
-   serially, which makes nested parallelism (a parallel [Sg.build] inside
-   a parallel CSC search inside a parallel fuzz case) safe by default. *)
+   serially, which makes nested parallelism (a parallel per-signal
+   synthesis inside a parallel fuzz case) safe by default. *)
 let busy_key = Domain.DLS.new_key (fun () -> ref false)
 let busy () = Domain.DLS.get busy_key
 let in_parallel_region () = !(busy ())

@@ -13,7 +13,7 @@
       left-to-right loop would have surfaced;
     - a region started from inside another parallel region (or from a
       worker domain) degrades to a serial loop, so nested calls such as
-      [Sg.build] inside a parallel CSC search neither deadlock nor
+      a CSC search inside a parallel fuzz case neither deadlock nor
       oversubscribe the machine.
 
     The pool is created lazily on first use and resized when the job

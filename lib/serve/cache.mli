@@ -1,91 +1,20 @@
-(** Content-addressed result cache for the synthesis server.
+(** The daemon's content-addressed result cache: {!Rtcad_core.Store} in
+    its [serve] namespace.
 
-    Keys are hex digests computed by {!key} from the canonical [.g] text
-    of the specification (the printer is round-trip stable, so any
-    whitespace/ordering variant of the same spec maps to the same key)
-    plus the operation and an engine/options fingerprint.  Values are
-    opaque payload strings (the server stores rendered response
-    payloads).
+    Keys ({!Rtcad_core.Store.key}) digest the protocol version, the
+    operation, the canonical [.g] text of the specification (the printer
+    is round-trip stable, so any whitespace/ordering variant of the same
+    spec maps to the same key) and an engine/options fingerprint.
+    Values are rendered response payloads; the disk tier records the
+    operation as the entry's stage.  Disk entries are
+    [dir/<key>.json] in format ["rtcad-serve-cache/2"]; entries of an
+    older format fail the header check and are recomputed. *)
 
-    {2 Sharding}
-
-    The in-memory tier is split into [shards] independent LRU shards
-    keyed by the hash prefix of the key (md5 keys distribute uniformly),
-    so eviction scans stay short at large capacities and per-shard
-    retained-cost metrics are observable.
-
-    {2 Cost-based eviction}
-
-    Eviction is by {e retained cost}, not entry count: an entry costs
-    [bytes(payload) + ceil(compute_ms)] — the bytes it occupies plus the
-    compute debt it absorbs on a hit — and each shard holds an even
-    split of [budget].  Inserting beyond the budget evicts
-    least-recently-used entries until the shard fits again (the entry
-    just inserted is never its own victim, so a single oversized result
-    still caches).  An optional [capacity] additionally bounds the entry
-    count per cache, preserving the classic count-LRU behaviour when
-    set.
-
-    {2 Tiers}
-
-    - the sharded in-memory tier described above;
-    - an optional on-disk store ([dir]): every store is also written to
-      [dir/<key>.json] behind a checksum header, and a memory miss falls
-      back to disk (verifying the checksum and re-promoting into memory
-      at byte cost only — the header records no compute time).  A
-      corrupted or truncated entry is {e detected}, counted, deleted and
-      treated as a miss — never served.
-
-    All operations are synchronous and deterministic for a given store
-    sequence; the server serializes cache access (the mux event loop is
-    single-threaded), so no internal locking is needed.  Counters are
-    mirrored into {!Rtcad_obs.Obs} (when enabled) under [serve.cache.*],
-    including per-shard [serve.cache.shard<i>.{entries,bytes,ms,evictions}]
-    gauges. *)
-
-type t
-
-type shard_stats = {
-  sh_entries : int;
-  sh_bytes : int;  (** retained payload bytes *)
-  sh_ms : float;  (** retained recorded compute milliseconds *)
-  sh_evictions : int;
-}
-
-type stats = {
-  hits : int;  (** memory + disk hits *)
-  misses : int;
-  stores : int;
-  evictions : int;  (** memory evictions, all shards (disk entries persist) *)
-  corrupt : int;  (** disk entries rejected by checksum *)
-  entries : int;  (** current in-memory entry count, all shards *)
-  retained_bytes : int;
-  retained_ms : float;
-  shards : shard_stats list;  (** per-shard breakdown, in shard order *)
-}
+type t = Rtcad_core.Store.t
 
 val create :
   ?shards:int -> ?budget:int -> ?capacity:int -> ?dir:string -> unit -> t
 (** [shards] (default 8) in-memory LRU shards; [budget] (default 32 MiB
     of cost units, i.e. bytes + compute ms) is split evenly across them.
-    [capacity] optionally bounds the entry count as well (split evenly;
-    unset by default — cost is the bound).  [dir] enables the on-disk
-    tier; the directory is created if missing.  Raises [Sys_error] if
-    the directory cannot be created, [Invalid_argument] on non-positive
-    [shards], [budget] or [capacity]. *)
-
-val key : string list -> string
-(** Digest of the given parts (order-sensitive, injection-safe: parts
-    are length-prefixed before hashing). *)
-
-val find : t -> string -> string option
-
-val store : ?cost_ms:float -> t -> string -> string -> unit
-(** [store ?cost_ms t key payload] inserts (or refreshes) the entry;
-    [cost_ms] (default 0) is the recorded compute time folded into the
-    entry's retained cost. *)
-
-val stats : t -> stats
-
-val num_shards : t -> int
-val dir : t -> string option
+    [capacity] optionally bounds the entry count as well.  [dir] enables
+    the on-disk tier.  See {!Rtcad_core.Store.make}. *)

@@ -24,6 +24,7 @@ module Obs = Rtcad_obs.Obs
 module Vcd = Rtcad_obs.Vcd
 module Rappid = Rtcad_rappid.Rappid
 module Workload = Rtcad_rappid.Workload
+module Store = Rtcad_core.Store
 
 type obs_mode = Obs_off | Obs_normalised | Obs_full
 
@@ -34,7 +35,7 @@ type config = {
   obs_mode : obs_mode;
   timeout_ms : float option;
   max_states : int option;
-  flow_store : Rtcad_core.Store.t option;
+  flow_store : Store.t option;
 }
 
 let default_config ?cache ?flow_store () =
@@ -278,7 +279,7 @@ let decode_check cfg req =
     w_op = "check";
     w_engine = Some (engine_name sel);
     w_key =
-      Cache.key
+      Store.key
         [ protocol_version; "check"; canon; engine_name sel; fp_max_states max_states ];
     w_compute = compute;
   }
@@ -393,7 +394,7 @@ let decode_synth cfg req =
     w_op = "synth";
     w_engine = Some (engine_name sel);
     w_key =
-      Cache.key
+      Store.key
         [ protocol_version; "synth"; canon; engine_name sel; Flow.fingerprint mode;
           "style=" ^ style_name; Printf.sprintf "verify=%b" verify;
           fp_max_states max_states ];
@@ -402,11 +403,13 @@ let decode_synth cfg req =
 
 (* -- sim -- *)
 
+(* The variant's constructor, not the variant: building one is a full
+   synthesis, which only a cache miss may pay. *)
 let variant_of = function
-  | "si" -> Fifo_impls.speed_independent ()
-  | "rt-bm" -> Fifo_impls.burst_mode ()
-  | "rt" -> Fifo_impls.relative_timing ()
-  | "pulse" -> Fifo_impls.pulse_mode ()
+  | "si" -> Fifo_impls.speed_independent
+  | "rt-bm" -> Fifo_impls.burst_mode
+  | "rt" -> Fifo_impls.relative_timing
+  | "pulse" -> Fifo_impls.pulse_mode
   | c ->
     raise
       (Bad_request
@@ -446,7 +449,7 @@ let decode_sim cfg req =
       w_op = "sim";
       w_engine = None;
       w_key =
-        Cache.key
+        Store.key
           [ protocol_version; "sim-rappid"; string_of_int instructions;
             string_of_int seed ];
       w_compute = compute;
@@ -454,12 +457,12 @@ let decode_sim cfg req =
   | Some circuit ->
     (* Validate the name at decode time so a bad request errors before
        the wave, like every other malformed field. *)
-    ignore (variant_of circuit);
+    let build = variant_of circuit in
     let cycles = Option.value ~default:12 (int_field req "cycles") in
     let vcd = Option.value ~default:false (bool_field req "vcd") in
     let obs_capture = cfg.obs_mode <> Obs_off in
     let compute () =
-      let v = variant_of circuit in
+      let v = build () in
       (* Per-request capture must hold the metrics of the measurement
          alone — the golden corpus snapshots were recorded that way —
          so the synthesis that just built the variant is dropped. *)
@@ -482,7 +485,7 @@ let decode_sim cfg req =
       w_op = "sim";
       w_engine = None;
       w_key =
-        Cache.key
+        Store.key
           [ protocol_version; "sim-circuit"; circuit; string_of_int cycles;
             string_of_bool vcd ];
       w_compute = compute;
@@ -514,7 +517,7 @@ let decode_sim cfg req =
       w_op = "sim";
       w_engine = None;
       w_key =
-        Cache.key
+        Store.key
           [ protocol_version; "sim-spec"; canon; string_of_int steps; string_of_int seed ];
       w_compute = compute;
     }
@@ -557,7 +560,7 @@ let decode_fuzz _cfg req =
     w_op = "fuzz";
     w_engine = None;
     w_key =
-      Cache.key
+      Store.key
         [ protocol_version; "fuzz"; string_of_int seed; string_of_int cases;
           string_of_int max_places; string_of_bool shrink ];
     w_compute = compute;
@@ -695,7 +698,7 @@ let prepare s entries =
         | P_work { id; op; req } -> (
           match decode_work s.cfg op req with
           | w -> (
-            match Cache.find s.cfg.cache w.w_key with
+            match Store.find s.cfg.cache w.w_key with
             | Some payload ->
               Obs.incr "serve.ok";
               let pj = Json.parse payload in
@@ -744,7 +747,7 @@ let compute_and_store cfg (works : work list) =
             (("result", r)
             :: (match obs with Some o -> [ ("obs", Json.String o) ] | None -> []))
         in
-        Cache.store ~cost_ms:ms cfg.cache w.w_key (Json.to_string payload)
+        Store.store ~cost_ms:ms ~stage:w.w_op cfg.cache w.w_key (Json.to_string payload)
       | Error _ -> ());
       (w.w_key, outcome))
     works computed
@@ -783,26 +786,26 @@ let take_wave s =
   prepare s entries
 
 let stats_result s =
-  let st = Cache.stats s.cfg.cache in
-  let looked = st.Cache.hits + st.Cache.misses in
+  let st = Store.stats s.cfg.cache in
+  let looked = st.hits + st.misses in
   let round_ms ms = Json.Int (int_of_float (Float.round ms)) in
   (* Only shards that hold (or evicted) something are listed: stats
      stay one readable line at the default shard count. *)
   let shard_json =
     List.filter_map
-      (fun (i, (sh : Cache.shard_stats)) ->
-        if sh.Cache.sh_entries > 0 || sh.Cache.sh_evictions > 0 then
+      (fun (i, (sh : Store.shard_stats)) ->
+        if sh.sh_entries > 0 || sh.sh_evictions > 0 then
           Some
             (Json.Obj
                [
                  ("shard", Json.Int i);
-                 ("entries", Json.Int sh.Cache.sh_entries);
-                 ("bytes", Json.Int sh.Cache.sh_bytes);
-                 ("ms", round_ms sh.Cache.sh_ms);
-                 ("evictions", Json.Int sh.Cache.sh_evictions);
+                 ("entries", Json.Int sh.sh_entries);
+                 ("bytes", Json.Int sh.sh_bytes);
+                 ("ms", round_ms sh.sh_ms);
+                 ("evictions", Json.Int sh.sh_evictions);
                ])
         else None)
-      (List.mapi (fun i sh -> (i, sh)) st.Cache.shards)
+      (List.mapi (fun i sh -> (i, sh)) st.shards)
   in
   Json.Obj
     [
@@ -813,19 +816,19 @@ let stats_result s =
       ( "cache",
         Json.Obj
           [
-            ("hits", Json.Int st.Cache.hits);
-            ("misses", Json.Int st.Cache.misses);
-            ("stores", Json.Int st.Cache.stores);
-            ("evictions", Json.Int st.Cache.evictions);
-            ("corrupt", Json.Int st.Cache.corrupt);
-            ("entries", Json.Int st.Cache.entries);
-            ("retained_bytes", Json.Int st.Cache.retained_bytes);
-            ("retained_ms", round_ms st.Cache.retained_ms);
+            ("hits", Json.Int st.hits);
+            ("misses", Json.Int st.misses);
+            ("stores", Json.Int st.stores);
+            ("evictions", Json.Int st.evictions);
+            ("corrupt", Json.Int st.corrupt);
+            ("entries", Json.Int st.entries);
+            ("retained_bytes", Json.Int st.retained_bytes);
+            ("retained_ms", round_ms st.retained_ms);
             ("shards", Json.List shard_json);
             ( "hit_rate",
               Json.Float
                 (if looked = 0 then 0.0
-                 else float_of_int st.Cache.hits /. float_of_int looked) );
+                 else float_of_int st.hits /. float_of_int looked) );
           ] );
     ]
 

@@ -125,7 +125,7 @@ val run_lines : config -> string list -> string list
 type work = {
   w_op : string;
   w_engine : string option;  (** resolved engine, for the envelope *)
-  w_key : string;  (** content-address ({!Cache.key}) of the request *)
+  w_key : string;  (** content-address ({!Rtcad_core.Store.key}) of the request *)
   w_compute : unit -> Json.t;  (** the result payload *)
 }
 

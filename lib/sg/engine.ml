@@ -41,7 +41,7 @@ let select engine stg =
     if concurrency_estimate stg >= auto_token_threshold then `Symbolic
     else `Explicit
 
-let build ?(engine = Auto) ?max_states ?par_threshold stg =
+let build ?(engine = Auto) ?max_states stg =
   match select engine stg with
-  | `Explicit -> Sg.build ?max_states ?par_threshold stg
+  | `Explicit -> Sg.build ?max_states stg
   | `Symbolic -> Symbolic.materialize ?max_states (Symbolic.analyze stg)

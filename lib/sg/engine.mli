@@ -21,9 +21,7 @@ val auto_token_threshold : int
 
 val select : t -> Rtcad_stg.Stg.t -> [ `Explicit | `Symbolic ]
 
-val build :
-  ?engine:t -> ?max_states:int -> ?par_threshold:int -> Rtcad_stg.Stg.t -> Sg.t
+val build : ?engine:t -> ?max_states:int -> Rtcad_stg.Stg.t -> Sg.t
 (** Build an explicit state graph with the selected engine (the symbolic
     path analyses then {!Symbolic.materialize}s — bit-identical output).
-    [par_threshold] only affects the explicit path.  Default engine is
-    [Auto]. *)
+    Default engine is [Auto]. *)

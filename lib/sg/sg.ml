@@ -2,7 +2,6 @@ module Bitset = Rtcad_util.Bitset
 module Vec = Rtcad_util.Vec
 module Stg = Rtcad_stg.Stg
 module Petri = Rtcad_stg.Petri
-module Par = Rtcad_par.Par
 module Obs = Rtcad_obs.Obs
 
 (* Open-addressed map from marking to state id: slots hold [id + 1]
@@ -145,7 +144,8 @@ let pack_edges ~n ~key ~value edges =
   done;
   (off, dat)
 
-let build_serial ?(max_states = 200_000) stg =
+let build ?(max_states = 200_000) stg =
+  Obs.span "sg.build" @@ fun () ->
   let net = Stg.net stg in
   let by_marking = mt_create () in
   let empty = Bitset.create 0 in
@@ -188,6 +188,10 @@ let build_serial ?(max_states = 200_000) stg =
         Vec.push edges s')
   done;
   let n = Vec.length markings in
+  (* Post-loop deltas only: the exploration loop stays untouched. *)
+  Obs.incr "sg.builds";
+  Obs.incr ~by:n "sg.states";
+  Obs.incr ~by:(Vec.length edges / 3) "sg.edges";
   let succ_off, succ_dat = pack_edges ~n ~key:(fun s _ -> s) ~value:(fun _ s' -> s') edges in
   {
     stg;
@@ -201,347 +205,12 @@ let build_serial ?(max_states = 200_000) stg =
     by_marking;
   }
 
-(* --- parallel exploration ---------------------------------------------
-
-   Frontier-parallel BFS over a sharded marking table.  Because state
-   ids are canonically renumbered at the end (BFS from the initial
-   state, successors in per-state edge order), the result is
-   bit-identical to [build_serial] whatever the parallel discovery
-   order was: same ids, same packed arrays, same raw edge vector.  Any
-   exploration failure falls back to a full serial rerun, so failures
-   (which exception, which message) are deterministic too. *)
-
-(* A power of two well above any realistic domain count, so two domains
-   rarely contend for the same lock even on adversarial graphs. *)
-let nshards = 128
-
-(* Open-addressed like [marking_tbl], but with keys and codes stored
-   inline (the global state vector doesn't exist yet while domains are
-   claiming ids concurrently) and a mutex guarding each shard. *)
-type shard = {
-  sm : Mutex.t;
-  mutable skeys : Bitset.t array;
-  mutable scodes : Bitset.t array;
-  mutable sids : int array; (* id + 1; 0 = empty *)
-  mutable sused : int;
-}
-
-let shard_create empty =
-  {
-    sm = Mutex.create ();
-    skeys = Array.make 64 empty;
-    scodes = Array.make 64 empty;
-    sids = Array.make 64 0;
-    sused = 0;
-  }
-
-(* Slot holding [m], or the free slot where it belongs. *)
-let rec shard_probe sids skeys mask m i =
-  if Array.unsafe_get sids i = 0 then i
-  else if Bitset.equal (Array.unsafe_get skeys i) m then i
-  else shard_probe sids skeys mask m ((i + 1) land mask)
-
-let rec shard_free sids mask i =
-  if Array.unsafe_get sids i = 0 then i else shard_free sids mask ((i + 1) land mask)
-
-let shard_grow sh empty =
-  let old_ids = sh.sids and old_keys = sh.skeys and old_codes = sh.scodes in
-  let len' = 2 * Array.length old_ids in
-  let mask' = len' - 1 in
-  sh.sids <- Array.make len' 0;
-  sh.skeys <- Array.make len' empty;
-  sh.scodes <- Array.make len' empty;
-  Array.iteri
-    (fun j v ->
-      if v <> 0 then begin
-        let i = shard_free sh.sids mask' (Bitset.hash old_keys.(j) land mask') in
-        sh.sids.(i) <- v;
-        sh.skeys.(i) <- old_keys.(j);
-        sh.scodes.(i) <- old_codes.(j)
-      end)
-    old_ids;
-  ()
-
-(* Both shard choice and the in-shard probe start come from the same
-   hash; disjoint bit ranges keep them independent. *)
-let shard_of shards h = Array.unsafe_get shards ((h lsr 20) land (nshards - 1))
-
-(* The serial warm-up bound.  Below it the graph is explored serially
-   (tiny graphs — the thousands of trial builds of the CSC search —
-   must not pay domain fan-out); beyond it the remaining frontier is
-   expanded level-synchronously across domains. *)
-let default_par_threshold = 1024
-
-let build_parallel ~max_states ~threshold stg =
-  let net = Stg.net stg in
-  let empty = Bitset.create 0 in
-  let markings = Vec.create ~capacity:32 ~dummy:empty () in
-  let codes = Vec.create ~capacity:32 ~dummy:empty () in
-  let by_marking = mt_create () in
-  let get id = Vec.get markings id in
-  let add marking code =
-    let id = Vec.length markings in
-    Vec.push markings marking;
-    Vec.push codes code;
-    mt_add by_marking ~get id marking;
-    id
-  in
-  ignore (add (Petri.initial_marking net) (initial_code stg));
-  let edges = Vec.create ~capacity:64 ~dummy:0 () in
-  (* Serial warm-up: identical to [build_serial] until the state count
-     crosses [threshold] (or exploration finishes first). *)
-  let cursor = ref 0 in
-  while !cursor < Vec.length markings && Vec.length markings < threshold do
-    let s = !cursor in
-    incr cursor;
-    let m = Vec.get markings s and c = Vec.get codes s in
-    Petri.iter_enabled net m (fun t ->
-        let m' = Petri.fire net m t in
-        check_label stg c t;
-        let s' =
-          match mt_find by_marking ~get m' with
-          | -1 ->
-            if Vec.length markings >= max_states then raise (Too_large max_states);
-            add m' (apply_label stg c t)
-          | s' ->
-            if not (code_matches stg c t (Vec.get codes s')) then
-              raise (Inconsistent "same marking reached with two different codes");
-            s'
-        in
-        Vec.push edges s;
-        Vec.push edges t;
-        Vec.push edges s')
-  done;
-  let n0 = Vec.length markings in
-  if !cursor >= n0 then begin
-    (* Finished below the threshold; package exactly as the serial build
-       would have. *)
-    let succ_off, succ_dat =
-      pack_edges ~n:n0 ~key:(fun s _ -> s) ~value:(fun _ s' -> s') edges
-    in
-    {
-      stg;
-      markings = Vec.to_array markings;
-      codes = Vec.to_array codes;
-      succ_off;
-      succ_dat;
-      edges;
-      preds = None;
-      initial = 0;
-      by_marking;
-    }
-  end
-  else begin
-    let jobs = Par.jobs () in
-    let counter = Atomic.make n0 in
-    let shards = Array.init nshards (fun _ -> shard_create empty) in
-    (* Migrate the warm-up states; no concurrency yet, but take each
-       shard's mutex anyway so the writes are published to the worker
-       domains that will read them. *)
-    for id = 0 to n0 - 1 do
-      let m = Vec.get markings id in
-      let h = Bitset.hash m in
-      let sh = shard_of shards h in
-      Mutex.lock sh.sm;
-      let i = shard_free sh.sids (Array.length sh.sids - 1) (h land (Array.length sh.sids - 1)) in
-      sh.sids.(i) <- id + 1;
-      sh.skeys.(i) <- m;
-      sh.scodes.(i) <- Vec.get codes id;
-      sh.sused <- sh.sused + 1;
-      if 2 * sh.sused > Array.length sh.sids then shard_grow sh empty;
-      Mutex.unlock sh.sm
-    done;
-    (* Per-participant accumulators, reused across levels ([pedges]
-       accumulates for the whole phase).  Written only by their owner
-       domain; read after the join of each [run_workers] call. *)
-    let dummy_state = (0, empty, empty) in
-    let new_states = Array.init jobs (fun _ -> Vec.create ~dummy:dummy_state ()) in
-    let pedges = Array.init jobs (fun _ -> Vec.create ~dummy:0 ()) in
-    let frontier =
-      ref (Array.init (n0 - !cursor) (fun k ->
-               let s = !cursor + k in
-               (s, Vec.get markings s, Vec.get codes s)))
-    in
-    while Array.length !frontier > 0 do
-      let fr = !frontier in
-      let flen = Array.length fr in
-      let next = Atomic.make 0 in
-      Par.run_workers (fun ~index ~count ->
-          let news = new_states.(index) and es = pedges.(index) in
-          let chunk = max 1 (flen / (count * 8)) in
-          let rec claim () =
-            let lo = Atomic.fetch_and_add next chunk in
-            if lo < flen then begin
-              let hi = min flen (lo + chunk) in
-              for k = lo to hi - 1 do
-                let s, m, c = fr.(k) in
-                Petri.iter_enabled net m (fun t ->
-                    let m' = Petri.fire net m t in
-                    check_label stg c t;
-                    let h = Bitset.hash m' in
-                    let sh = shard_of shards h in
-                    (* Nothing inside the critical section may raise:
-                       a worker abandoning a locked shard would hang
-                       every other participant. *)
-                    Mutex.lock sh.sm;
-                    let mask = Array.length sh.sids - 1 in
-                    let i = shard_probe sh.sids sh.skeys mask m' (h land mask) in
-                    let v = sh.sids.(i) in
-                    if v <> 0 then begin
-                      let s' = v - 1 and c'' = sh.scodes.(i) in
-                      Mutex.unlock sh.sm;
-                      if not (code_matches stg c t c'') then
-                        raise
-                          (Inconsistent "same marking reached with two different codes");
-                      Vec.push es s;
-                      Vec.push es t;
-                      Vec.push es s'
-                    end
-                    else begin
-                      let id = Atomic.fetch_and_add counter 1 in
-                      if id >= max_states then begin
-                        Mutex.unlock sh.sm;
-                        raise (Too_large max_states)
-                      end;
-                      (* [check_label] above passed, so this cannot
-                         raise. *)
-                      let c' = apply_label stg c t in
-                      sh.sids.(i) <- id + 1;
-                      sh.skeys.(i) <- m';
-                      sh.scodes.(i) <- c';
-                      sh.sused <- sh.sused + 1;
-                      if 2 * sh.sused > Array.length sh.sids then shard_grow sh empty;
-                      Mutex.unlock sh.sm;
-                      Vec.push news (id, m', c');
-                      Vec.push es s;
-                      Vec.push es t;
-                      Vec.push es id
-                    end)
-              done;
-              claim ()
-            end
-          in
-          claim ());
-      let total_new = Array.fold_left (fun acc v -> acc + Vec.length v) 0 new_states in
-      let nf = Array.make total_new dummy_state in
-      let k = ref 0 in
-      Array.iter
-        (fun v ->
-          Vec.iter
-            (fun x ->
-              nf.(!k) <- x;
-              incr k)
-            v;
-          Vec.clear v)
-        new_states;
-      frontier := nf
-    done;
-    (* Assembly: gather states out of the shards, pack a provisional
-       CSR, then renumber canonically — BFS from the initial state,
-       successors in stored (= [Petri.iter_enabled]) order — which is
-       exactly the id assignment the serial build produces. *)
-    let total = Atomic.get counter in
-    let prov_m = Array.make total empty and prov_c = Array.make total empty in
-    Array.iter
-      (fun sh ->
-        Array.iteri
-          (fun i v ->
-            if v <> 0 then begin
-              prov_m.(v - 1) <- sh.skeys.(i);
-              prov_c.(v - 1) <- sh.scodes.(i)
-            end)
-          sh.sids)
-      shards;
-    let all_edges =
-      let ne =
-        Vec.length edges + Array.fold_left (fun acc v -> acc + Vec.length v) 0 pedges
-      in
-      let all = Vec.create ~capacity:(max 1 ne) ~dummy:0 () in
-      Vec.iter (Vec.push all) edges;
-      Array.iter (fun v -> Vec.iter (Vec.push all) v) pedges;
-      all
-    in
-    let poff, pdat =
-      pack_edges ~n:total ~key:(fun s _ -> s) ~value:(fun _ s' -> s') all_edges
-    in
-    let renum = Array.make total (-1) in
-    let old_of_new = Array.make total 0 in
-    renum.(0) <- 0;
-    let count = ref 1 and head = ref 0 in
-    while !head < !count do
-      let old = old_of_new.(!head) in
-      incr head;
-      let k = ref poff.(old) in
-      let hi = poff.(old + 1) in
-      while !k < hi do
-        let tgt = pdat.(!k + 1) in
-        if renum.(tgt) = -1 then begin
-          renum.(tgt) <- !count;
-          old_of_new.(!count) <- tgt;
-          incr count
-        end;
-        k := !k + 2
-      done
-    done;
-    (* Every claimed state was reached over a recorded edge, so the
-       canonical BFS covers all of them. *)
-    assert (!count = total);
-    let markings_arr = Array.init total (fun ns -> prov_m.(old_of_new.(ns))) in
-    let codes_arr = Array.init total (fun ns -> prov_c.(old_of_new.(ns))) in
-    let cedges = Vec.create ~capacity:(max 1 (Vec.length all_edges)) ~dummy:0 () in
-    for ns = 0 to total - 1 do
-      let old = old_of_new.(ns) in
-      let k = ref poff.(old) in
-      let hi = poff.(old + 1) in
-      while !k < hi do
-        Vec.push cedges ns;
-        Vec.push cedges pdat.(!k);
-        Vec.push cedges renum.(pdat.(!k + 1));
-        k := !k + 2
-      done
-    done;
-    let succ_off, succ_dat =
-      pack_edges ~n:total ~key:(fun s _ -> s) ~value:(fun _ s' -> s') cedges
-    in
-    let by_marking = mt_create () in
-    Array.iteri (fun i m -> mt_add by_marking ~get:(fun id -> markings_arr.(id)) i m) markings_arr;
-    {
-      stg;
-      markings = markings_arr;
-      codes = codes_arr;
-      succ_off;
-      succ_dat;
-      edges = cedges;
-      preds = None;
-      initial = 0;
-      by_marking;
-    }
-  end
-
-let build ?(max_states = 200_000) ?(par_threshold = default_par_threshold) stg =
-  Obs.span "sg.build" (fun () ->
-      let sg =
-        if Par.jobs () = 1 || Par.in_parallel_region () then build_serial ~max_states stg
-        else
-          try build_parallel ~max_states ~threshold:par_threshold stg
-          with Inconsistent _ | Too_large _ | Petri.Unsafe _ ->
-            (* Which offending edge a parallel exploration trips over first is
-               scheduling-dependent; rerun serially so callers (and the
-               differential oracle) always see the serial failure. *)
-            build_serial ~max_states stg
-      in
-      (* Post-loop deltas only: the exploration kernels stay untouched. *)
-      Obs.incr "sg.builds";
-      Obs.incr ~by:(Array.length sg.markings) "sg.states";
-      Obs.incr ~by:(Vec.length sg.edges / 3) "sg.edges";
-      sg)
-
 (* Package a finished exploration that is already in canonical serial-BFS
    order (state 0 = initial, successors discovered in per-state
    [Petri.iter_enabled] order).  Used by [Symbolic.materialize], which
    replays the serial BFS against the symbolic reachable set: reusing the
    exact packing code here is what makes its output bit-identical to
-   [build_serial]. *)
+   [build]. *)
 let of_exploration ~stg ~markings ~codes ~edges =
   let n = Array.length markings in
   let succ_off, succ_dat =

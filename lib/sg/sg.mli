@@ -14,18 +14,13 @@ exception Inconsistent of string
 exception Too_large of int
 (** Raised when exploration exceeds the state bound. *)
 
-val build : ?max_states:int -> ?par_threshold:int -> Rtcad_stg.Stg.t -> t
-(** Explore the reachable state space.  Default bound is 200000 states.
-    Raises {!Inconsistent}, {!Too_large}, or {!Rtcad_stg.Petri.Unsafe}.
-
-    When [Rtcad_par.Par.jobs () > 1] (and the caller is not already
-    inside a parallel region), exploration switches to frontier-parallel
-    BFS once [par_threshold] states (default 1024) have been discovered
-    serially.  The result — state numbering, packed edge arrays, raised
-    exceptions — is bit-identical to the serial build: states are
-    renumbered canonically at the end, and any parallel-phase failure
-    falls back to a full serial rerun.  [par_threshold] exists so tests
-    can force the parallel path on small graphs. *)
+val build : ?max_states:int -> Rtcad_stg.Stg.t -> t
+(** Explore the reachable state space breadth-first.  Default bound is
+    200000 states.  Raises {!Inconsistent}, {!Too_large}, or
+    {!Rtcad_stg.Petri.Unsafe}.  States are numbered in discovery order
+    (state 0 is the initial state), so the result is a pure function of
+    the STG.  Graphs too large for explicit enumeration belong to the
+    symbolic engine ({!Engine.select}). *)
 
 (**/**)
 

@@ -827,7 +827,7 @@ let is_output_persistent sym =
 
 (* --- materialization --------------------------------------------------- *)
 
-(* Replay the serial explicit BFS ([Sg.build_serial]'s exact discovery
+(* Replay the serial explicit BFS ([Sg.build]'s exact discovery
    and numbering), asserting every state against the symbolic reachable
    set as it is found.  The result is bit-identical to [Sg.build] — same
    ids, same packed arrays — and the membership check makes every

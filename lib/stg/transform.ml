@@ -111,6 +111,10 @@ let contract_dummies ?(strict = true) stg =
   in
   go stg 0
 
+(* Transition names carry their signal ("r12+", "r12+/2") and implicit
+   place names their two transitions ("<r12+,a12+>"); both follow the
+   signals, or the printed [.g] text would name edges of signals it no
+   longer declares. *)
 let rename_signals stg f =
   let n = Stg.num_signals stg in
   let names = Array.init n (fun i -> f (Stg.signal_name stg i)) in
@@ -120,8 +124,38 @@ let rename_signals stg f =
       if Hashtbl.mem seen name then invalid_arg "Transform.rename_signals: not injective";
       Hashtbl.add seen name ())
     names;
-  Stg.make ~net:(Stg.net stg)
-    ~labels:(Array.init (Petri.num_transitions (Stg.net stg)) (Stg.label stg))
+  let net = Stg.net stg in
+  let nt = Petri.num_transitions net in
+  let tname t =
+    let old = Petri.transition_name net t in
+    match Stg.label stg t with
+    | Stg.Dummy -> old
+    | Stg.Edge { signal; _ } ->
+      let s = Stg.signal_name stg signal in
+      let k = String.length s in
+      if String.length old > k && String.starts_with ~prefix:s old
+         && (old.[k] = '+' || old.[k] = '-')
+      then names.(signal) ^ String.sub old k (String.length old - k)
+      else old
+  in
+  let transition_names = Array.init nt tname in
+  let place_name p =
+    let old = Petri.place_name net p in
+    match (Petri.producers net p, Petri.consumers net p) with
+    | [ a ], [ b ] when String.length old > 0 && old.[0] = '<' ->
+      Printf.sprintf "<%s,%s>" transition_names.(a) transition_names.(b)
+    | _ -> old
+  in
+  let net' =
+    Petri.make
+      ~place_names:(Array.init (Petri.num_places net) place_name)
+      ~transition_names
+      ~pre:(Array.init nt (Petri.pre net))
+      ~post:(Array.init nt (Petri.post net))
+      ~initial:(Bitset.elements (Petri.initial_marking net))
+  in
+  Stg.make ~net:net'
+    ~labels:(Array.init nt (Stg.label stg))
     ~signal_names:names
     ~kinds:(Array.init n (Stg.kind stg))
     ~initial_values:(Array.init n (Stg.initial_value stg))

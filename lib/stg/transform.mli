@@ -11,9 +11,11 @@ val contract_dummies : ?strict:bool -> Stg.t -> Stg.t
     place otherwise. *)
 
 val rename_signals : Stg.t -> (string -> string) -> Stg.t
-(** Apply a renaming function to every signal name.  Raises
-    [Invalid_argument] if the renaming is not injective on the STG's
-    signals. *)
+(** Apply a renaming function to every signal name, and with it to the
+    edge transitions' names ([r12+/2]) and implicit places' names
+    ([<r12+,a12+>]), so the result prints as [.g] text that parses back.
+    Raises [Invalid_argument] if the renaming is not injective on the
+    STG's signals. *)
 
 val set_kind : Stg.t -> string -> Stg.kind -> Stg.t
 (** Return an STG where the named signal has the given kind (e.g. hide an

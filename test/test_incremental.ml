@@ -1,6 +1,6 @@
-(* Incremental synthesis: stage-key properties, artifact-store
-   corruption handling, warm reconstruction, and a small fixed-seed
-   edit-replay battery. *)
+(* Incremental synthesis: stage-key properties, warm reconstruction,
+   and a small fixed-seed edit-replay battery.  The artifact store
+   itself is covered by test_store.ml. *)
 
 module Stg = Rtcad_stg.Stg
 module Stg_io = Rtcad_stg.Stg_io
@@ -123,144 +123,7 @@ let test_keys_auto_resolves () =
   in
   check "auto key equals resolved engine key" true (all_keys auto = all_keys resolved)
 
-(* --- artifact store --------------------------------------------------- *)
-
-let with_tmpdir f =
-  let path = Filename.temp_file "rtcad-store" "" in
-  Sys.remove path;
-  Unix.mkdir path 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists path then begin
-        Array.iter
-          (fun e -> try Sys.remove (Filename.concat path e) with Sys_error _ -> ())
-          (Sys.readdir path);
-        try Unix.rmdir path with Unix.Unix_error _ -> ()
-      end)
-    (fun () -> f path)
-
-let entry_files dir =
-  Array.to_list (Sys.readdir dir)
-  |> List.filter (fun f -> Filename.check_suffix f ".art")
-  |> List.map (Filename.concat dir)
-
-let test_store_roundtrip () =
-  with_tmpdir @@ fun dir ->
-  let s = Store.create ~dir () in
-  let k = Store.key [ "stage"; "payload-identity" ] in
-  Store.store ~stage:"reach" s k "payload-bytes";
-  check "memory hit" true (Store.find s k = Some "payload-bytes");
-  (* a second store instance sees it through the disk tier *)
-  let s2 = Store.create ~dir () in
-  check "disk hit" true (Store.find s2 k = Some "payload-bytes");
-  check_int "disk entries" 1 (Store.disk_stats ~dir).Store.d_entries
-
-let corrupt_with f dir =
-  match entry_files dir with
-  | [ file ] -> f file
-  | l -> Alcotest.failf "expected 1 entry file, found %d" (List.length l)
-
-let test_store_flipped_byte () =
-  with_tmpdir @@ fun dir ->
-  let s = Store.create ~dir () in
-  let k = Store.key [ "covers"; "x" ] in
-  Store.store ~stage:"covers" s k "sixteen bytes of payload";
-  corrupt_with
-    (fun file ->
-      let ic = open_in_bin file in
-      let len = in_channel_length ic in
-      let b = really_input_string ic len in
-      close_in ic;
-      let b = Bytes.of_string b in
-      (* flip a byte near the end — inside the payload, past the header *)
-      let i = Bytes.length b - 3 in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
-      let oc = open_out_bin file in
-      output_bytes oc b;
-      close_out oc)
-    dir;
-  let s2 = Store.create ~dir () in
-  check "flipped byte is a miss" true (Store.find s2 k = None);
-  check "corrupt entry removed" true (entry_files dir = []);
-  check_int "corruption counted" 1 (Store.stats s2).Store.corrupt;
-  ignore s
-
-let test_store_truncated_entry () =
-  with_tmpdir @@ fun dir ->
-  let s = Store.create ~dir () in
-  let k = Store.key [ "emit"; "y" ] in
-  Store.store ~stage:"emit" s k (String.make 256 'n');
-  corrupt_with
-    (fun file ->
-      let ic = open_in_bin file in
-      let len = in_channel_length ic in
-      let b = really_input_string ic (len / 2) in
-      close_in ic;
-      let oc = open_out_bin file in
-      output_string oc b;
-      close_out oc)
-    dir;
-  let s2 = Store.create ~dir () in
-  check "truncated entry is a miss" true (Store.find s2 k = None);
-  check "truncated entry removed" true (entry_files dir = [])
-
-let test_store_missing_blob () =
-  with_tmpdir @@ fun dir ->
-  let s = Store.create ~dir () in
-  let k = Store.key [ "encode"; "z" ] in
-  Store.store ~stage:"encode" s k "gone";
-  corrupt_with Sys.remove dir;
-  let s2 = Store.create ~dir () in
-  check "missing blob is a miss" true (Store.find s2 k = None);
-  (* and a foreign file in the directory is detected, not trusted *)
-  let oc = open_out_bin (Filename.concat dir "deadbeef.art") in
-  output_string oc "not a store entry at all";
-  close_out oc;
-  let st = Store.disk_stats ~dir in
-  check_int "foreign file counted corrupt" 1 st.Store.d_corrupt;
-  check "foreign file removed" true (entry_files dir = [])
-
-(* Concurrent writers racing the same entry through temp-file renames:
-   every interleaving leaves a readable, checksummed entry. *)
-let test_store_concurrent_writers () =
-  with_tmpdir @@ fun dir ->
-  let k = Store.key [ "reach"; "contended" ] in
-  let payload d = Printf.sprintf "writer-%d-payload" d in
-  let domains =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            let s = Store.create ~dir () in
-            for _ = 1 to 25 do
-              Store.store ~stage:"reach" s k (payload d)
-            done))
-  in
-  List.iter Domain.join domains;
-  let s = Store.create ~dir () in
-  (match Store.find s k with
-  | None -> Alcotest.fail "entry lost after concurrent writes"
-  | Some v ->
-    check "payload is one of the writers'" true
-      (List.exists (fun d -> String.equal v (payload d)) [ 0; 1; 2; 3 ]));
-  let st = Store.disk_stats ~dir in
-  check_int "no corruption from racing renames" 0 st.Store.d_corrupt;
-  check_int "single entry for the contended key" 1 st.Store.d_entries;
-  (* no abandoned temp files *)
-  check_int "directory holds only the entry" 1 (Array.length (Sys.readdir dir))
-
-let test_store_gc_budget () =
-  with_tmpdir @@ fun dir ->
-  let s = Store.create ~dir () in
-  for i = 1 to 8 do
-    Store.store ~stage:"covers" s
-      (Store.key [ "gc"; string_of_int i ])
-      (String.make 1000 (Char.chr (Char.code 'a' + i)))
-  done;
-  let before = Store.disk_stats ~dir in
-  check_int "eight entries" 8 before.Store.d_entries;
-  let removed, remaining = Store.gc ~dir ~budget:(before.Store.d_bytes / 2) in
-  check "entries removed" true (removed > 0);
-  check "budget respected" true (remaining <= before.Store.d_bytes / 2);
-  check_int "survivors listed" (8 - removed) (List.length (Store.ls ~dir))
+let with_tmpdir = Test_store.with_tmpdir
 
 (* --- warm reconstruction ---------------------------------------------- *)
 
@@ -346,15 +209,6 @@ let suite =
         Alcotest.test_case "semantic edits move the right keys" `Quick
           test_keys_change_on_semantic_edits;
         Alcotest.test_case "auto engine resolves" `Quick test_keys_auto_resolves;
-      ] );
-    ( "artifact-store",
-      [
-        Alcotest.test_case "roundtrip through both tiers" `Quick test_store_roundtrip;
-        Alcotest.test_case "flipped byte" `Quick test_store_flipped_byte;
-        Alcotest.test_case "truncated entry" `Quick test_store_truncated_entry;
-        Alcotest.test_case "missing blob, foreign file" `Quick test_store_missing_blob;
-        Alcotest.test_case "concurrent writers" `Quick test_store_concurrent_writers;
-        Alcotest.test_case "gc to budget" `Quick test_store_gc_budget;
       ] );
     ( "incremental-flow",
       [

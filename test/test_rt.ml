@@ -6,6 +6,8 @@ module Petri = Rtcad_stg.Petri
 module Library = Rtcad_stg.Library
 module Transform = Rtcad_stg.Transform
 module Sg = Rtcad_sg.Sg
+module Symbolic = Rtcad_sg.Symbolic
+module Stg_io = Rtcad_stg.Stg_io
 module Props = Rtcad_sg.Props
 module Encoding = Rtcad_sg.Encoding
 module Csc = Rtcad_sg.Csc
@@ -68,6 +70,22 @@ let test_rename () =
   let stg = Library.c_element () in
   let stg' = Transform.rename_signals stg (fun s -> "sig_" ^ s) in
   check "renamed" true (Stg.signal_name stg' 0 = "sig_a");
+  (* The printed text of a renamed net parses back to the same graph,
+     and renaming back restores the original text exactly. *)
+  let ring = Library.ring 13 in
+  let text = Stg_io.to_string ring in
+  let renamed = Transform.rename_signals ring (fun s -> "n_" ^ s) in
+  let reparsed = Stg_io.parse (Stg_io.to_string renamed) in
+  let signal_names stg = List.map (Stg.signal_name stg) (Stg.signals stg) in
+  Alcotest.(check (list string)) "renamed signals declared"
+    (signal_names renamed) (signal_names reparsed);
+  (* ring13 is past the explicit bound: count symbolically. *)
+  check_int "same state count"
+    (Symbolic.num_states (Symbolic.analyze ring))
+    (Symbolic.num_states (Symbolic.analyze reparsed));
+  let unprefix s = String.sub s 2 (String.length s - 2) in
+  Alcotest.(check string) "renaming back prints the original" text
+    (Stg_io.to_string (Transform.rename_signals renamed unprefix));
   check "non-injective rejected" true
     (try
        ignore (Transform.rename_signals stg (fun _ -> "same"));

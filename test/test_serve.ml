@@ -9,6 +9,7 @@
 
 module Serve = Rtcad_serve.Serve
 module Cache = Rtcad_serve.Cache
+module Store = Rtcad_core.Store
 module Mux = Rtcad_serve.Mux
 module Json = Rtcad_serve.Json
 module Par = Rtcad_par.Par
@@ -112,13 +113,6 @@ let test_json_rejects () =
   (* duplicate keys are ambiguous *)
   rejects "[1,2,]";
   rejects "{\"a\":1} trailing"
-
-let test_cache_key () =
-  Alcotest.(check bool)
-    "length prefix separates parts" false
-    (String.equal (Cache.key [ "ab"; "c" ]) (Cache.key [ "a"; "bc" ]));
-  Alcotest.(check string)
-    "key is stable" (Cache.key [ "x"; "y" ]) (Cache.key [ "x"; "y" ])
 
 let test_fingerprint () =
   let fps =
@@ -313,19 +307,7 @@ let test_canonical_hash_property =
           (result_str explicit) (result_str symbolic);
       true)
 
-let with_tmpdir f =
-  let path = Filename.temp_file "rtcad-serve-cache" "" in
-  Sys.remove path;
-  Unix.mkdir path 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists path then begin
-        Array.iter
-          (fun e -> try Sys.remove (Filename.concat path e) with Sys_error _ -> ())
-          (Sys.readdir path);
-        try Unix.rmdir path with Unix.Unix_error _ -> ()
-      end)
-    (fun () -> f path)
+let with_tmpdir = Test_store.with_tmpdir
 
 let one_check cache =
   match
@@ -334,6 +316,9 @@ let one_check cache =
   | [ line ] -> line
   | _ -> Alcotest.fail "expected one response"
 
+(* The store's tiers and eviction are tested in test_store.ml; these two
+   cases pin what a session makes of them: the "cached" flag a client
+   sees and a recomputed answer identical to the first. *)
 let test_disk_tier_and_corruption () =
   with_tmpdir @@ fun dir ->
   (* Populate through one cache instance... *)
@@ -367,11 +352,10 @@ let test_disk_tier_and_corruption () =
   Alcotest.(check bool) "corrupt entry is a miss" false (cached recomputed);
   Alcotest.(check string) "recomputed, identical" (result_str first)
     (result_str recomputed);
-  Alcotest.(check int) "corruption detected" 1 (Cache.stats cache).Cache.corrupt
+  Alcotest.(check int) "corruption detected" 1 (Store.stats cache).Store.corrupt
 
 let test_lru_eviction () =
-  (* One shard so the capacity bound is global, as in the pre-sharded
-     cache this test pins down. *)
+  (* One shard so the capacity bound is global. *)
   let cache = Cache.create ~shards:1 ~capacity:2 () in
   let script =
     List.map
@@ -386,54 +370,40 @@ let test_lru_eviction () =
     "LRU hit/miss sequence"
     [ false; false; true; false; false ]
     flags;
-  let st = Cache.stats cache in
-  Alcotest.(check int) "evictions" 2 st.Cache.evictions;
-  Alcotest.(check bool) "bound respected" true (st.Cache.entries <= 2)
+  let st = Store.stats cache in
+  Alcotest.(check int) "evictions" 2 st.Store.evictions;
+  Alcotest.(check bool) "bound respected" true (st.Store.entries <= 2)
 
-let test_cost_eviction () =
-  (* Entry cost = payload bytes + ceil(compute ms); the budget bounds the
-     retained total and eviction is LRU by that cost. *)
-  let c = Cache.create ~shards:1 ~budget:100 () in
-  Cache.store ~cost_ms:30.0 c "a" (String.make 20 'a');
-  (* cost 50 *)
-  Cache.store ~cost_ms:20.0 c "b" (String.make 20 'b');
-  (* cost 40: total 90, both fit *)
-  Alcotest.(check int) "both under budget" 2 (Cache.stats c).Cache.entries;
-  ignore (Cache.find c "a");
-  (* touch: "b" becomes the LRU victim *)
-  Cache.store c "d" (String.make 40 'd');
-  (* cost 40: 130 > 100, evict "b" *)
-  let st = Cache.stats c in
-  Alcotest.(check int) "one eviction" 1 st.Cache.evictions;
-  Alcotest.(check bool) "LRU victim gone" true (Cache.find c "b" = None);
-  Alcotest.(check bool) "touched entry survives" true (Cache.find c "a" <> None);
-  Alcotest.(check int) "retained bytes" 60 st.Cache.retained_bytes;
-  Alcotest.(check (float 1e-6)) "retained ms" 30.0 st.Cache.retained_ms;
-  (* A single entry dearer than the whole budget still caches: the entry
-     just inserted is never its own victim. *)
-  Cache.store c "huge" (String.make 500 'h');
-  Alcotest.(check bool) "oversized entry cached" true (Cache.find c "huge" <> None);
-  Alcotest.(check int) "everything else evicted" 1 (Cache.stats c).Cache.entries
-
-let test_shard_distribution () =
-  let c = Cache.create ~shards:4 () in
-  for i = 1 to 64 do
-    Cache.store ~cost_ms:1.0 c
-      (Cache.key [ string_of_int i ])
-      (Printf.sprintf "payload-%d" i)
-  done;
-  let st = Cache.stats c in
-  Alcotest.(check int) "one stat per shard" 4 (List.length st.Cache.shards);
-  Alcotest.(check int) "entries sum to total" st.Cache.entries
-    (List.fold_left (fun a s -> a + s.Cache.sh_entries) 0 st.Cache.shards);
-  Alcotest.(check int) "bytes sum to total" st.Cache.retained_bytes
-    (List.fold_left (fun a s -> a + s.Cache.sh_bytes) 0 st.Cache.shards);
-  Alcotest.(check (float 1e-6)) "ms sum to total" st.Cache.retained_ms
-    (List.fold_left (fun a s -> a +. s.Cache.sh_ms) 0.0 st.Cache.shards);
-  let populated =
-    List.length (List.filter (fun s -> s.Cache.sh_entries > 0) st.Cache.shards)
+(* A sim request names one of four fixed circuits.  Validating the name
+   must not synthesize it: a hit costs no synthesis, a miss exactly one
+   (as many [Sg.build]s as building the variant directly), and an
+   unknown name is still refused at decode time. *)
+let test_sim_hit_synthesizes_nothing () =
+  let builds f =
+    Obs.set_enabled true;
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled false)
+      (fun () ->
+        let r = f () in
+        (r, Obs.counter (Obs.snapshot ()) "sg.builds"))
   in
-  Alcotest.(check bool) "hash prefix spreads the keys" true (populated > 1)
+  let s = Serve.session (config ()) in
+  let sim = req {|{"op":"sim","circuit":"rt","cycles":12}|} in
+  let miss, miss_builds = builds (fun () -> Serve.feed s sim) in
+  let _, variant_builds = builds (fun () -> Rtcad_core.Fifo_impls.relative_timing ()) in
+  let hit, hit_builds = builds (fun () -> Serve.feed s sim) in
+  Alcotest.(check (list bool)) "miss then hit" [ false; true ] (List.map cached (miss @ hit));
+  Alcotest.(check bool) "the variant needs synthesis" true (variant_builds > 0);
+  Alcotest.(check int) "a miss synthesizes once" variant_builds miss_builds;
+  Alcotest.(check int) "a hit synthesizes nothing" 0 hit_builds;
+  match Serve.feed s (req {|{"op":"sim","circuit":"nope"}|}) with
+  | [ line ] ->
+    Alcotest.(check string) "unknown circuit refused" "bad_request" (error_kind line);
+    Alcotest.(check (option string))
+      "message unchanged"
+      (Some {|unknown circuit "nope" (si, rt-bm, rt, pulse or rappid)|})
+      (Json.to_str (Option.get (Json.member "message" (field line "error"))))
+  | _ -> Alcotest.fail "expected one response"
 
 (* --- the acceptance scenario: 200 requests, >= 50% repeats, hit rate
    reported via rtcad_obs, zero crashes on interleaved malformed input --- *)
@@ -811,7 +781,6 @@ let suite =
       [
         Alcotest.test_case "json round-trips" `Quick test_json_roundtrip;
         Alcotest.test_case "json rejects malformed input" `Quick test_json_rejects;
-        Alcotest.test_case "cache keys are injective" `Quick test_cache_key;
         Alcotest.test_case "mode fingerprints are distinct" `Quick test_fingerprint;
         Alcotest.test_case "responses identical at jobs 1 and 2" `Slow
           test_determinism_across_jobs;
@@ -824,10 +793,8 @@ let suite =
         Alcotest.test_case "disk tier: corruption detected, recomputed" `Quick
           test_disk_tier_and_corruption;
         Alcotest.test_case "memory LRU respects its bound" `Quick test_lru_eviction;
-        Alcotest.test_case "cost-based eviction honours the budget" `Quick
-          test_cost_eviction;
-        Alcotest.test_case "shard stats partition the totals" `Quick
-          test_shard_distribution;
+        Alcotest.test_case "sim hit synthesizes nothing" `Quick
+          test_sim_hit_synthesizes_nothing;
         Alcotest.test_case "200-request session: >=45% hits via obs" `Slow
           test_acceptance_session;
         Alcotest.test_case "per-request capture is deterministic" `Slow
